@@ -68,11 +68,6 @@ from ..symbolic import LinearExpr
 
 Number = Union[int, float]
 
-#: Version of the translation scheme.  Part of the
-#: :class:`~repro.pipeline.cache.BackendCache` key, so cached compiled
-#: modules from an older engine can never be executed by a newer one.
-ENGINE_VERSION = 2
-
 _PRELUDE = '''\
 import math as _math
 
@@ -130,12 +125,11 @@ def _fn_ref(name: str) -> str:
 
 
 def _is_phi_copy(inst) -> bool:
-    # getattr tolerates instructions unpickled from pre-flag caches
-    return isinstance(inst, Assign) and getattr(inst, "is_phi_copy", False)
+    return isinstance(inst, Assign) and inst.is_phi_copy
 
 
 def _is_synthetic_jump(inst) -> bool:
-    return isinstance(inst, Jump) and getattr(inst, "is_synthetic", False)
+    return isinstance(inst, Jump) and inst.is_synthetic
 
 
 class _FunctionEmitter:
@@ -499,11 +493,11 @@ class _FunctionEmitter:
                 indent += 1
             line(indent, "if (%s) > %d:"
                  % (self._linexpr(inst.linexpr), inst.bound))
-            context = getattr(inst, "context", "")
             line(indent + 1, "_rt.trap(%r)"
                  % ("range check failed: %s <= %d (array %s, %s bound)%s"
                     % (inst.linexpr, inst.bound, inst.array or "?",
-                       inst.kind, " %s" % context if context else "")))
+                       inst.kind,
+                       " %s" % inst.context if inst.context else "")))
             if inst.guards:
                 # mirror the interpreter: a failed guard still counts
                 # the Cond-check as executed work, but the range
@@ -631,8 +625,8 @@ class CompiledPythonModule:
 
     ``source`` may be supplied by a cache
     (:class:`~repro.pipeline.cache.BackendCache`) to skip the
-    translation pass; it must have been produced by this
-    ``ENGINE_VERSION`` from the same (destructed) module.
+    translation pass; it must have been produced by the same build of
+    the code from the same (destructed) module.
     """
 
     def __init__(self, module: Module,

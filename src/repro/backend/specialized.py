@@ -63,11 +63,6 @@ from .pybackend import (_PRELUDE, CompiledPythonModule, _FunctionEmitter,
                         _array_ref, _fn_ref, _is_phi_copy,
                         _is_synthetic_jump, _mangle)
 
-#: Version of the specialized translation scheme; part of the
-#: per-engine BackendCache key (suffix ``-sp<N>``), independent of the
-#: threaded engine's ``ENGINE_VERSION``.
-SPECIALIZED_ENGINE_VERSION = 1
-
 #: Largest |int| exactly representable as a float64.  Vectorized
 #: int->float conversions outside this range would round differently
 #: from the interpreter's exact-int arithmetic, so kernels bail out.

@@ -19,8 +19,7 @@ from .instructions import Jump
 def is_landing_block(block: BasicBlock) -> bool:
     """True for a synthetic landing block created by edge splitting."""
     term = block.terminator
-    # getattr tolerates instructions unpickled from pre-flag caches
-    return isinstance(term, Jump) and getattr(term, "is_synthetic", False)
+    return isinstance(term, Jump) and term.is_synthetic
 
 
 def edge_target(block: BasicBlock) -> BasicBlock:

@@ -277,9 +277,7 @@ class Check(Instruction):
     ``context`` carries call-site provenance for checks the inliner
     cloned out of a subroutine body (e.g. ``"in f, inlined at line
     12"``); trap messages append it so a failure names the callee and
-    call line rather than the clone's synthetic block label.  Read it
-    with ``getattr(check, "context", "")`` — instructions unpickled
-    from pre-inline cache entries lack the slot.
+    call line rather than the clone's synthetic block label.
     """
 
     __slots__ = ("linexpr", "bound", "operands", "kind", "array", "guards",
@@ -338,9 +336,8 @@ class Check(Instruction):
         # context is part of the printed form on purpose: back-end trap
         # messages embed it, so it must reach the BackendCache
         # fingerprint (which hashes the printed IR)
-        context = getattr(self, "context", "")
-        if context:
-            body += " @<%s>" % context
+        if self.context:
+            body += " @<%s>" % self.context
         if self.guards:
             conds = " and ".join(str(g) for g in self.guards)
             return "cond-%s if %s" % (body, conds)
@@ -461,8 +458,7 @@ class Call(Instruction):
     callee's array parameters.  ``line`` is the source line of the call
     statement (0 when synthesized); the inliner stamps it into the
     ``context`` of every check it clones so trap messages can name the
-    call site.  Read it with ``getattr(call, "line", 0)`` —
-    instructions unpickled from pre-inline cache entries lack the slot.
+    call site.
     """
 
     __slots__ = ("callee", "args", "array_args", "line")

@@ -2,11 +2,11 @@
 
 import os
 
-from repro.backend.pybackend import ENGINE_VERSION
 from repro.interp import Machine
 from repro.pipeline import (BackendCache, compile_source,
                             reset_shared_backend_cache,
                             shared_backend_cache)
+from repro.pipeline.cache import build_fingerprint
 from repro.pipeline.trace import PipelineTrace
 
 from ..conftest import lower_ssa
@@ -34,10 +34,16 @@ class TestMemoryLayer:
         assert stats["translations"] == 1
         assert stats["hits"] == 1
         assert first is second  # compiled modules are shareable
+        assert set(stats) == {"translations", "hits", "misses",
+                              "disk_hits", "evictions", "entries",
+                              "lock_waits", "lock_degraded"}
 
     def test_key_carries_engine_version(self):
+        # the build fingerprint versions the engine; the engine name
+        # scopes the key to one back-end tier
         key = BackendCache.key(lower_ssa(SOURCE))
-        assert key.endswith("-e%d" % ENGINE_VERSION)
+        assert key.startswith(build_fingerprint() + "-")
+        assert key.endswith("-compiled")
 
     def test_distinct_programs_get_distinct_keys(self):
         other = SOURCE.replace("a(n)", "a(1)")

@@ -3,8 +3,10 @@
 from repro.checks.config import OptimizerOptions, Scheme
 from repro.checks.optimizer import optimize_module
 from repro.interp.machine import Machine
-from repro.pipeline import (FrontendCache, PipelineTrace, compile_source,
-                            reset_shared_cache, shared_cache)
+from repro.pipeline import (BackendCache, FrontendCache, PipelineTrace,
+                            compile_source, reset_shared_backend_cache,
+                            reset_shared_cache, shared_backend_cache,
+                            shared_cache)
 
 
 def run_checks(module, inputs):
@@ -187,12 +189,20 @@ class TestLRUBound:
         assert FrontendCache(max_entries=-3).max_entries is None
 
     def test_env_var_bounds_shared_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "7")
+        monkeypatch.delenv("REPRO_CACHE_MAX_ENTRIES", raising=False)
         reset_shared_cache()
+        reset_shared_backend_cache()
         try:
+            assert shared_cache().max_entries == 512
+            assert shared_backend_cache().max_entries == 512
+            monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "7")
+            reset_shared_cache()
+            reset_shared_backend_cache()
             assert shared_cache().max_entries == 7
+            assert shared_backend_cache().max_entries == 7
         finally:
             reset_shared_cache()
+            reset_shared_backend_cache()
 
 
 class TestCacheStats:
@@ -299,3 +309,85 @@ class TestConcurrentDiskWriters:
         two.frontend(loop_program)
         assert two.disk_hits == 0
         assert two.frontend_compiles == 1
+
+
+class TestBuildFingerprint:
+    """Every key starts with the fingerprint of the code that built the
+    artifact, so an entry written by another build is a miss by key."""
+
+    def test_is_stable_hex(self):
+        from repro.pipeline.cache import build_fingerprint
+
+        assert build_fingerprint() == build_fingerprint()
+        assert len(build_fingerprint()) == 16
+        int(build_fingerprint(), 16)
+
+    @staticmethod
+    def _stale_read(monkeypatch, tmp_path, store_cls, lookup):
+        import repro.pipeline.cache as cache_module
+
+        writer = store_cls(disk_dir=str(tmp_path))
+        lookup(writer)
+        assert writer.builds == 1
+        monkeypatch.setattr(cache_module, "build_fingerprint",
+                            lambda: "0123456789abcdef")
+        decoded = []
+        monkeypatch.setattr(store_cls, "_decode",
+                            lambda self, blob: decoded.append(blob))
+        reader = store_cls(disk_dir=str(tmp_path))
+        lookup(reader)
+        assert decoded == []  # the old entry was never unpickled
+        assert reader.disk_hits == 0
+        assert reader.builds == 1
+
+    def test_stale_frontend_entry_is_a_miss(self, loop_program, tmp_path,
+                                            monkeypatch):
+        self._stale_read(monkeypatch, tmp_path, FrontendCache,
+                         lambda cache: cache.frontend(loop_program))
+
+    def test_stale_backend_entry_is_a_miss(self, loop_program, tmp_path,
+                                           monkeypatch):
+        module = compile_source(loop_program).module
+        self._stale_read(monkeypatch, tmp_path, BackendCache,
+                         lambda cache: cache.compiled(module))
+
+
+class TestConcurrentCounters:
+    SOURCES = TestLRUBound.SOURCES
+
+    def test_threads_lose_no_counts(self, tmp_path):
+        """Eight threads hammering one store over three keys: every
+        call is counted exactly once, and each key is built once."""
+        import sys
+        import threading
+
+        cache = FrontendCache(disk_dir=str(tmp_path))
+        laps = 25
+        errors = []
+        start = threading.Barrier(8)
+
+        def worker(offset):
+            try:
+                start.wait(timeout=60)  # every key starts cold and raced
+                for lap in range(laps):
+                    source = self.SOURCES[(offset + lap) % len(self.SOURCES)]
+                    cache.frontend(source)
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(index,))
+                   for index in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        counters = cache.counters()
+        assert counters["hits"] + counters["misses"] == 8 * laps
+        assert counters["builds"] == len(self.SOURCES)

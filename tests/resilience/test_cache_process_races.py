@@ -52,16 +52,16 @@ from repro.service.jobs import execute_request
 faults.arm_from_env()
 status, body = execute_request({
     "action": "run", "source": sys.argv[2], "engine": "compiled"})
-backend = shared_backend_cache()
-frontend = shared_cache()
+backend = shared_backend_cache().stats()
+frontend = shared_cache().counters()
 print(json.dumps({
     "status": status,
     "ok": body.get("ok"),
     "output": body.get("output"),
     "error": body.get("error"),
     "backend_cached": body.get("backend_cached"),
-    "lock_waits": backend.lock_waits + frontend.lock_waits,
-    "lock_degraded": backend.lock_degraded + frontend.lock_degraded,
+    "lock_waits": backend["lock_waits"] + frontend["lock_waits"],
+    "lock_degraded": backend["lock_degraded"] + frontend["lock_degraded"],
 }))
 """
 
