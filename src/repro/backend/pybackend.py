@@ -13,9 +13,10 @@ function return).  Dispatch is then a dict-free indirect call,
 
 instead of the O(num_blocks) ``if _block == N ... elif`` scan the
 previous engine performed on every branch.  Counter bumps are
-precomputed per-block constants -- every instruction of a basic block
-executes when the block does, so ``instructions += <cost>`` once per
-entry is exact and much faster than interpreting instruction by
+per-block constants from the shared cost plan
+(:func:`repro.ir.cost.block_cost`) -- every instruction of a basic
+block executes when the block does, so ``instructions += <cost>`` once
+per entry is exact and much faster than interpreting instruction by
 instruction.  Array load/store paths precompute base offsets and
 per-dimension bounds into function-scope locals and index the backing
 list directly, falling back to :class:`ArrayStorage` accessors (and
@@ -32,9 +33,9 @@ or dying with a raw ``RecursionError``.
 
 Range checks compile to real ``if`` tests (a trap must still fire at
 the right moment); their *count* is part of the per-block constant.
-Phi copies introduced by SSA destruction (and the synthetic jumps of
-split critical edges) are charged to the ``phis`` counter, keeping
-dynamic instruction counts identical to interpreting the SSA module.
+The cost plan charges the phi copies introduced by SSA destruction as
+the phi moves they lower, so every counter matches interpreting the
+SSA module.
 
 Scalar names are mangled with a collision-proof escape (``_`` ->
 ``__``, ``.`` -> ``_d``, any other non-alphanumeric -> ``_u<hex>_``),
@@ -57,11 +58,12 @@ from ..interp.counters import ExecutionCounters
 from ..interp.machine import Machine
 from ..interp.values import ArrayStorage
 from ..ir.basicblock import BasicBlock
+from ..ir.cost import COST_FIELDS, block_cost
 from ..ir.edges import edge_target
 from ..ir.function import Function, Module
 from ..ir.instructions import (Assign, BinOp, Call, Check, CondJump, Jump,
-                               Load, Phi, Print, Return, SpecGuard, Store,
-                               Trap, UnOp)
+                               Load, Print, Return, SpecGuard, Store, Trap,
+                               UnOp)
 from ..ir.types import BOOL, INT, REAL
 from ..ir.values import Const, Value, Var
 from ..symbolic import LinearExpr
@@ -122,14 +124,6 @@ def _array_ref(name: str) -> str:
 
 def _fn_ref(name: str) -> str:
     return "fn_" + _escape(name)
-
-
-def _is_phi_copy(inst) -> bool:
-    return isinstance(inst, Assign) and inst.is_phi_copy
-
-
-def _is_synthetic_jump(inst) -> bool:
-    return isinstance(inst, Jump) and inst.is_synthetic
 
 
 class _FunctionEmitter:
@@ -389,29 +383,18 @@ class _FunctionEmitter:
     def _line(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
 
-    def _block_costs(self, block: BasicBlock):
-        cost = checks = guarded = phi_moves = 0
-        for inst in block.instructions:
-            if isinstance(inst, Phi):
-                raise IRError("the Python back-end needs destructed SSA")
-            if isinstance(inst, Check):
-                checks += 1
-                if inst.is_conditional:
-                    guarded += 1
-            elif isinstance(inst, Trap):
-                pass  # counted as a trap when it fires, like the interpreter
-            elif isinstance(inst, (Load, Store)):
-                cost += 1 + len(inst.indices)
-            elif _is_phi_copy(inst) or _is_synthetic_jump(inst):
-                phi_moves += 1  # free: artifacts of SSA destruction
-            elif isinstance(inst, SpecGuard):
-                # free in the instruction count; its spec_guards /
-                # spec_misses bumps are data-dependent and emitted
-                # inline by _emit_instruction
-                pass
-            else:
-                cost += 1
-        return cost, checks, guarded, phi_moves
+    def _emit_charge(self, blocks: List[BasicBlock], indent: int) -> None:
+        """Charge fuel, then the counters, for running ``blocks`` whole:
+        emitted on entry, before any body runs -- exactly the
+        interpreter's accounting."""
+        self._line(indent, "_rt.steps = _s = _rt.steps + %d"
+                   % sum(len(block.instructions) for block in blocks))
+        self._line(indent, "if _s > _max_steps:")
+        self._line(indent + 1, "_rt.step_overflow()")
+        costs = [sum(charge) for charge in zip(*map(block_cost, blocks))]
+        for field, cost in zip(COST_FIELDS, costs):
+            if cost:
+                self._line(indent, "_counters.%s += %d" % (field, cost))
 
     def _edge_bump(self, target: BasicBlock,
                    src: Optional[BasicBlock] = None) -> str:
@@ -435,21 +418,7 @@ class _FunctionEmitter:
                            if inst.def_var() is not None})
         if assigned:
             self._line(2, "nonlocal %s" % ", ".join(assigned))
-        # fuel: charged on block entry, before the body runs -- exactly
-        # the interpreter's accounting
-        self._line(2, "_rt.steps = _s = _rt.steps + %d"
-                   % len(block.instructions))
-        self._line(2, "if _s > _max_steps:")
-        self._line(3, "_rt.step_overflow()")
-        cost, checks, guarded, phi_moves = self._block_costs(block)
-        if cost:
-            self._line(2, "_counters.instructions += %d" % cost)
-        if checks:
-            self._line(2, "_counters.checks += %d" % checks)
-        if guarded:
-            self._line(2, "_counters.guarded_checks += %d" % guarded)
-        if phi_moves:
-            self._line(2, "_counters.phis += %d" % phi_moves)
+        self._emit_charge([block], 2)
         terminated = False
         for inst in block.instructions:
             self._emit_instruction(inst)
@@ -550,7 +519,7 @@ class _FunctionEmitter:
             line(indent, "%s(%s)" % (_fn_ref(inst.callee), ", ".join(args)))
             line(indent, "_rt.depth -= 1")
         elif isinstance(inst, Jump):
-            if self.collect_edges and not _is_synthetic_jump(inst):
+            if self.collect_edges and not inst.is_synthetic:
                 line(indent, self._edge_bump(inst.target))
             line(indent, "return %s" % self.block_fns[inst.target.name])
         elif isinstance(inst, CondJump):

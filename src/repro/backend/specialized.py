@@ -51,17 +51,17 @@ from ..analysis.loops import Loop, LoopForest
 from ..analysis.postdom import PostDominators
 from ..induction.tripcount import _phi_edges, find_loop_iv
 from ..ir.basicblock import BasicBlock
+from ..ir.cost import COST_FIELDS, block_cost
 from ..ir.edges import edge_target, is_landing_block
 from ..ir.function import Function, Module
-from ..ir.instructions import (Assign, BinOp, Check, CondJump, Jump, Load,
-                               Phi, Return, Store, UnOp)
+from ..ir.instructions import (PHI_WRITE, Assign, BinOp, Check, CondJump,
+                               Jump, Load, Phi, Return, Store, UnOp)
 from ..ir.types import INT, REAL
 from ..ir.values import Const, Value, Var
 from ..ssa import destruct_ssa
 from ..symbolic import LinearExpr
 from .pybackend import (_PRELUDE, CompiledPythonModule, _FunctionEmitter,
-                        _array_ref, _fn_ref, _is_phi_copy,
-                        _is_synthetic_jump, _mangle)
+                        _array_ref, _fn_ref, _mangle)
 
 #: Largest |int| exactly representable as a float64.  Vectorized
 #: int->float conversions outside this range would round differently
@@ -675,25 +675,7 @@ class _FlatEmitter(_FunctionEmitter):
         self._line(indent, "# %s" % block.name)
         if block not in self._precharged:
             region = self._charge_region(block, stop)
-            self._line(indent, "_rt.steps = _s = _rt.steps + %d"
-                       % sum(len(b.instructions) for b in region))
-            self._line(indent, "if _s > _max_steps:")
-            self._line(indent + 1, "_rt.step_overflow()")
-            cost = checks = guarded = phi_moves = 0
-            for piece in region:
-                c, k, g, p = self._block_costs(piece)
-                cost += c
-                checks += k
-                guarded += g
-                phi_moves += p
-            if cost:
-                self._line(indent, "_counters.instructions += %d" % cost)
-            if checks:
-                self._line(indent, "_counters.checks += %d" % checks)
-            if guarded:
-                self._line(indent, "_counters.guarded_checks += %d" % guarded)
-            if phi_moves:
-                self._line(indent, "_counters.phis += %d" % phi_moves)
+            self._emit_charge(region, indent)
             self._precharged.update(region[1:])
         term = block.terminator
         for inst in block.instructions:
@@ -706,7 +688,7 @@ class _FlatEmitter(_FunctionEmitter):
         elif isinstance(term, Return):
             self._line(indent, "return None")
         elif isinstance(term, Jump):
-            if self.collect_edges and not _is_synthetic_jump(term):
+            if self.collect_edges and not term.is_synthetic:
                 self._line(indent, self._edge_bump(term.target))
             self._goto(term.target, stop, indent)
         elif isinstance(term, CondJump):
@@ -770,10 +752,18 @@ class _FlatEmitter(_FunctionEmitter):
         closed-form cost constants.  Returns None (scalar only) when
         destruction changed anything the plan relied on."""
         header = loop.header
+        # the header's phis became write halves at its top: one per
+        # planned phi (the iv and the accumulator), then the compare
         plain = [i for i in header.instructions
                  if not i.is_terminator]
-        if plain != [plan.cmp_inst] or \
-                not isinstance(header.terminator, CondJump):
+        writes = plain[:-1]
+        carried = [plan.iv_name] + \
+            ([plan.reduction[0]] if plan.reduction else [])
+        if plain[-1:] != [plan.cmp_inst] or \
+                not isinstance(header.terminator, CondJump) or \
+                not all(isinstance(w, Assign) and w.phi_copy == PHI_WRITE
+                        for w in writes) or \
+                sorted(w.dest.name for w in writes) != sorted(carried):
             return None
         blocks: List[BasicBlock] = []
         cur = plan.body_block
@@ -791,21 +781,17 @@ class _FlatEmitter(_FunctionEmitter):
             return None
         significant = [inst for block in blocks
                        for inst in block.instructions
-                       if not (inst.is_terminator or _is_phi_copy(inst)
-                               or _is_synthetic_jump(inst))]
+                       if not (inst.is_terminator or
+                               isinstance(inst, Assign) and inst.phi_copy)]
         if [id(i) for i in significant] != [id(op.inst) for op in plan.ops]:
             return None
-        hdr_fuel = len(header.instructions)
-        hdr_cost = self._block_costs(header)
-        chain_fuel = sum(len(b.instructions) for b in blocks)
-        chain_cost = [0, 0, 0, 0]
-        for block in blocks:
-            for i, v in enumerate(self._block_costs(block)):
-                chain_cost[i] += v
-        if hdr_cost[1] or hdr_cost[2] or hdr_cost[3] or chain_cost[2]:
-            return None  # checks/phis in header, guarded checks in chain
-        return (hdr_fuel, hdr_cost[0], chain_fuel, chain_cost[0],
-                chain_cost[1], chain_cost[3])
+        chain_cost = tuple(sum(charge)
+                           for charge in zip(*map(block_cost, blocks)))
+        if chain_cost[2]:
+            return None  # guarded checks in the chain
+        return (len(header.instructions), block_cost(header),
+                sum(len(b.instructions) for b in blocks), chain_cost,
+                [(w.dest.name, w.src.name) for w in writes])
 
     def _kernel_edge_bumps(self, plan: _LoopPlan,
                            exit_block: BasicBlock):
@@ -827,14 +813,14 @@ class _FlatEmitter(_FunctionEmitter):
 
     def _emit_kernel(self, plan: _LoopPlan, stats,
                      exit_block: BasicBlock, indent: int) -> str:
-        hdr_fuel, hdr_cost, chain_fuel, chain_cost, n_checks, n_phis = stats
+        hdr_fuel, hdr_cost, chain_fuel, chain_cost, writes = stats
         kid = self._kernel_id
         self._kernel_id += 1
         kname, rname = "_vk%d" % kid, "_vr%d" % kid
         edge_bumps = self._kernel_edge_bumps(plan, exit_block) \
             if self.collect_edges else None
         ker = _KernelWriter(self, plan, hdr_fuel, hdr_cost, chain_fuel,
-                            chain_cost, n_checks, n_phis, edge_bumps)
+                            chain_cost, writes, edge_bumps)
         lines = ker.render()
         self._line(indent, "def %s():" % kname)
         for ind, text in lines:
@@ -847,7 +833,7 @@ class _KernelWriter:
     """Renders one vector kernel body as (indent, text) lines."""
 
     def __init__(self, emitter: _FlatEmitter, plan: _LoopPlan, hdr_fuel,
-                 hdr_cost, chain_fuel, chain_cost, n_checks, n_phis,
+                 hdr_cost, chain_fuel, chain_cost, writes,
                  edge_bumps=None) -> None:
         self.emitter = emitter
         self.plan = plan
@@ -856,8 +842,8 @@ class _KernelWriter:
         self.hdr_cost = hdr_cost
         self.chain_fuel = chain_fuel
         self.chain_cost = chain_cost
-        self.n_checks = n_checks
-        self.n_phis = n_phis
+        #: (phi, staged temp) of the header's phi writes
+        self.writes = writes
         self.rename = {plan.iv_name: "_i0"}
         self.hazards: List[str] = []  # descriptors + all bail tests
         self.computes: List[str] = []
@@ -1005,12 +991,16 @@ class _KernelWriter:
                 extra = 1 if text.startswith("    ") else 0
                 out.append((1 + extra, text.lstrip()))
         out.append((0, "_rt.steps += %s" % fuel))
-        out.append((0, "_counters.instructions += %d * (_t + 1) + %d * _t"
-                    % (self.hdr_cost, self.chain_cost)))
-        if self.n_checks:
-            out.append((0, "_counters.checks += %d * _t" % self.n_checks))
-        if self.n_phis:
-            out.append((0, "_counters.phis += %d * _t" % self.n_phis))
+        # closed form of the scalar loop's charges: the header runs
+        # _t + 1 times, the chain _t times
+        for field, hdr, chain in zip(COST_FIELDS, self.hdr_cost,
+                                     self.chain_cost):
+            terms = ["%d * (_t + 1)" % hdr] if hdr else []
+            if chain:
+                terms.append("%d * _t" % chain)
+            if terms:
+                out.append((0, "_counters.%s += %s"
+                            % (field, " + ".join(terms))))
         if self.edge_bumps is not None:
             # every bail above already returned -1, so from here the
             # kernel commits: charge each iteration edge in closed form
@@ -1024,6 +1014,11 @@ class _KernelWriter:
                             % (fn, src, dst)))
             out.append((0, "_edges[(%r, %r, %r)] += 1"
                         % (fn, exit_pair[0], exit_pair[1])))
+        # the first header entry's phi writes: the accumulator starts
+        # from the value the preheader staged (the iv is set below)
+        for dest, src in self.writes:
+            if dest != plan.iv_name:
+                out.append((0, "%s = %s" % (_mangle(dest), _mangle(src))))
         fold: List[str] = []
         if self.reductions:
             # replay the accumulator chain as a sequential fold over the

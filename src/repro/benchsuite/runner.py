@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..checks.config import CheckKind, ImplicationMode, OptimizerOptions, Scheme
+from ..interp.counters import ExecutionCounters
 from ..pipeline.cache import FrontendCache, shared_cache
 from ..pipeline.stats import (BaselineMeasurement, SchemeMeasurement,
                               measure_baseline, measure_scheme)
@@ -101,14 +102,11 @@ def run_table2(programs: Optional[Iterable[BenchmarkProgram]] = None,
 
 BENCH_ENGINES: Tuple[str, ...] = ("interp", "compiled", "specialized")
 
-#: counter fields that must agree between engines.  ``phis`` is
-#: deliberately excluded: the interpreter charges one phi move per phi
-#: on block entry while the back-end charges the two copies SSA
-#: destruction inserts per phi, so the field legitimately differs
-#: (ratio 1:2) without affecting instruction or check parity.
-BENCH_PARITY_FIELDS: Tuple[str, ...] = (
-    "instructions", "checks", "guarded_checks", "guard_skipped",
-    "spec_guards", "spec_misses", "traps")
+#: counter fields that must agree between engines: the whole
+#: :meth:`ExecutionCounters.snapshot`.  Every engine charges blocks from
+#: one cost plan (:func:`repro.ir.cost.block_cost`), so even ``phis``
+#: -- one move per SSA phi per block entry -- matches.
+BENCH_PARITY_FIELDS: Tuple[str, ...] = tuple(ExecutionCounters().snapshot())
 
 
 class EngineRun:

@@ -422,7 +422,7 @@ def _clone_inst(inst, block_map: Dict[BasicBlock, BasicBlock],
         return Phi(sub(inst.dest),
                    [(blk(b), sub(v)) for b, v in inst.incoming])
     if isinstance(inst, Assign):
-        return Assign(sub(inst.dest), sub(inst.src), inst.is_phi_copy)
+        return Assign(sub(inst.dest), sub(inst.src), inst.phi_copy)
     if isinstance(inst, BinOp):
         return BinOp(sub(inst.dest), inst.op, sub(inst.lhs), sub(inst.rhs))
     if isinstance(inst, UnOp):

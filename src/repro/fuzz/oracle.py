@@ -7,9 +7,9 @@ against the naive-checking baseline:
 
 1. **Engine agreement** -- for each configuration, the interpreter and
    each Python back-end tier (direct-threaded and specialized) produce
-   identical output, identical trap behavior, and identical dynamic
-   check counts (instruction counts legitimately differ: the back-ends
-   run destructed SSA).
+   identical output, identical trap behavior, and identical counter
+   snapshots (every engine charges from one cost plan; at a trap the
+   specialized engine's region charges may only run ahead).
 2. **No extra work** -- on runs where neither version traps, the
    optimized program's *effective* checks (executed checks whose range
    inequality was actually evaluated; a Cond-check stopped by its
@@ -461,11 +461,17 @@ class Oracle:
                 kind, seed, source, label,
                 "outputs differ\ninterp: %r\n%s: %r"
                 % (interp.output, engine, compiled.output))
-        if interp.trapped:
-            # per-block accounting: the back-end bumps a whole block's
-            # check count on entry, so a trap mid-block legitimately
-            # leaves it ahead of the interpreter's exact count
-            return None
+        want = interp.counters.snapshot()
+        got = compiled.counters.snapshot()
+        # at a trap the specialized engine may be ahead: it charges a
+        # straight-line region of blocks on entry to the first one
+        ahead = interp.trapped and engine == "specialized"
+        if any(got[field] < want[field] if ahead else got[field] !=
+               want[field] for field in want):
+            return FuzzFailure(kind, seed, source, label,
+                               "dynamic counts differ\ninterp: %r\n%s: %r"
+                               % (want, engine, got))
+        return None
         if compiled.counters.checks != interp.counters.checks or \
                 compiled.counters.guard_skipped != \
                 interp.counters.guard_skipped or \

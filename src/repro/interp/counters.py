@@ -1,14 +1,11 @@
 """Dynamic execution counters.
 
 The paper measures programs by *dynamic counts of instructions* and
-*dynamic counts of range checks* (section 4).  The interpreter
-increments one of three counters per executed instruction:
-
-* ``instructions`` -- every non-check, non-phi instruction;
-* ``checks`` -- every executed :class:`Check`, conditional or not
-  (a Cond-check whose guard fails still did run-time work and counts);
-* ``phis`` -- phi moves, kept separate because they are an artifact of
-  interpreting SSA directly rather than emitted code.
+*dynamic counts of range checks* (section 4).  Every engine charges
+``instructions``, ``checks``, ``guarded_checks`` and ``phis`` (phi
+moves, an artifact of SSA form) per block entry from one cost plan,
+:func:`repro.ir.cost.block_cost`, and bumps the other counters as the
+event happens, so every engine reports the same ``snapshot()``.
 
 ``check_ratio`` reproduces the paper's ``check/instr`` columns of
 Table 1.
@@ -16,16 +13,16 @@ Table 1.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from typing import Dict, Optional, Tuple
 
 
 class ExecutionCounters:
-    """Mutable counters filled in by the interpreter."""
+    """Mutable counters filled in by an execution engine."""
 
     __slots__ = ("instructions", "checks", "phis", "guarded_checks",
                  "guard_skipped", "spec_guards", "spec_misses",
-                 "by_opcode", "traps", "edges")
+                 "traps", "edges")
 
     def __init__(self) -> None:
         self.instructions = 0
@@ -49,7 +46,6 @@ class ExecutionCounters:
         self.spec_guards = 0
         self.spec_misses = 0
         self.traps = 0
-        self.by_opcode: Counter = Counter()
         # per-edge execution counts, keyed (function, src block, dst
         # block) with "" as the src of the function-entry pseudo-edge.
         # None unless the run opted into edge collection: bumping a

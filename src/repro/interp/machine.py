@@ -7,17 +7,20 @@ which are then compiled and executed ... to obtain the dynamic counts
 of instructions" (section 4).
 
 Phi nodes are evaluated edge-sensitively and *simultaneously* on block
-entry, so SSA programs run directly, without destruction.
+entry, so SSA programs run directly, without destruction.  Counters are
+charged once per block entry from the shared cost plan
+(:func:`repro.ir.cost.block_cost`), exactly as the back-ends charge them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..errors import (BoundsAuditError, CallDepthError, InterpError,
                       RangeTrap, StepLimitError)
 from ..ir.basicblock import BasicBlock
+from ..ir.cost import block_cost
 from ..ir.edges import edge_target, is_landing_block
 from ..ir.function import Function, Module
 from ..ir.instructions import (Assign, BinOp, Call, Check, CondJump, Jump,
@@ -49,7 +52,6 @@ class Machine:
     def __init__(self, module: Module,
                  inputs: Optional[Mapping[str, Number]] = None,
                  max_steps: int = 50_000_000,
-                 profile: bool = False,
                  bounds_audit: bool = False,
                  collect_edges: bool = False) -> None:
         if module.main is None:
@@ -61,7 +63,8 @@ class Machine:
         self.output: List[Number] = []
         self._steps = 0
         self._depth = 0
-        self.profile = profile
+        #: block -> its block_cost charge, memoized on first entry
+        self._costs: Dict[BasicBlock, Tuple[int, int, int, int]] = {}
         # per-edge execution counts (the lospre training profile);
         # None keeps the dispatch loop branch-free on the default path
         self._edges = self.counters.enable_edge_collection() \
@@ -160,10 +163,14 @@ class Machine:
         if self._steps > self.max_steps:
             raise StepLimitError("execution exceeded %d steps"
                                  % self.max_steps)
+        cost = self._costs.get(block)
+        if cost is None:
+            cost = self._costs[block] = block_cost(block)
         counters = self.counters
-        if self.profile:
-            for inst in block.instructions:
-                counters.by_opcode[type(inst).__name__] += 1
+        counters.instructions += cost[0]
+        counters.checks += cost[1]
+        counters.guarded_checks += cost[2]
+        counters.phis += cost[3]
         # phis first, evaluated simultaneously against the incoming edge
         index = 0
         instructions = block.instructions
@@ -177,32 +184,21 @@ class Machine:
                 index += 1
             for name, value in moves:
                 frame.scalars[name] = value
-            counters.phis += len(moves)
         while index < len(instructions):
             inst = instructions[index]
             index += 1
             if isinstance(inst, Check):
-                counters.checks += 1
                 self._run_check(frame, inst)
                 continue
             if isinstance(inst, BinOp):
-                counters.instructions += 1
                 frame.scalars[inst.dest.name] = _binop(
                     inst.op, self._eval(frame, inst.lhs),
                     self._eval(frame, inst.rhs))
                 continue
             if isinstance(inst, Assign):
-                # phi copies (SSA destruction) count as phis, exactly
-                # like the phi moves they lower
-                if inst.is_phi_copy:
-                    counters.phis += 1
-                else:
-                    counters.instructions += 1
                 frame.scalars[inst.dest.name] = self._eval(frame, inst.src)
                 continue
             if isinstance(inst, Load):
-                # 1 + rank: a memory access plus its addressing arithmetic
-                counters.instructions += 1 + len(inst.indices)
                 array = self._array(frame, inst.array)
                 indices = [int(self._eval(frame, i)) for i in inst.indices]
                 if self.bounds_audit:
@@ -210,7 +206,6 @@ class Machine:
                 frame.scalars[inst.dest.name] = array.load(indices)
                 continue
             if isinstance(inst, Store):
-                counters.instructions += 1 + len(inst.indices)
                 array = self._array(frame, inst.array)
                 indices = [int(self._eval(frame, i)) for i in inst.indices]
                 if self.bounds_audit:
@@ -218,36 +213,24 @@ class Machine:
                 array.store(indices, self._eval(frame, inst.src))
                 continue
             if isinstance(inst, UnOp):
-                counters.instructions += 1
                 frame.scalars[inst.dest.name] = _unop(
                     inst.op, self._eval(frame, inst.operand))
                 continue
             if isinstance(inst, Jump):
-                if inst.is_synthetic:
-                    counters.phis += 1  # landing block of a split edge
-                else:
-                    counters.instructions += 1
                 return inst.target, block
             if isinstance(inst, CondJump):
-                counters.instructions += 1
                 if self._eval(frame, inst.cond):
                     return inst.if_true, block
                 return inst.if_false, block
             if isinstance(inst, Return):
-                counters.instructions += 1
                 return None, block
             if isinstance(inst, Call):
-                counters.instructions += 1
                 self._run_call(frame, inst)
                 continue
             if isinstance(inst, Print):
-                counters.instructions += 1
                 self.output.append(self._eval(frame, inst.value))
                 continue
             if isinstance(inst, SpecGuard):
-                # free in the instruction count: the guard replaces
-                # per-iteration checks, and its cost is reported via
-                # the dedicated spec_guards/spec_misses counters
                 frame.scalars[inst.dest.name] = self._run_spec_guard(
                     frame, inst)
                 continue
@@ -259,7 +242,6 @@ class Machine:
 
     def _run_check(self, frame: _Frame, check: Check) -> None:
         if check.is_conditional:
-            self.counters.guarded_checks += 1
             for guard in check.guards:
                 if self._eval_linear(frame, guard.linexpr) > guard.bound:
                     # a guard inequality fails: check not required

@@ -100,6 +100,12 @@ class BasicBlock:
         """Iterate instructions after the phi prefix."""
         return iter(self.instructions[self.first_non_phi_index():])
 
+    def __reduce__(self):
+        # a bare shell: pickling the instructions here would recurse
+        # into every successor block in turn, one level per block along
+        # a CFG path; Function.__getstate__ carries the bodies instead
+        return BasicBlock, (self.name,)
+
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 

@@ -147,6 +147,23 @@ class Function:
                     break
         return middle
 
+    # -- pickling -----------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        """Blocks pickle as shells (:meth:`BasicBlock.__reduce__`) and
+        their instruction lists ride here, so pickle's recursion depth
+        stays flat however long the CFG is."""
+        state = self.__dict__.copy()
+        state["_bodies"] = [block.instructions for block in self.blocks]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        bodies = state.pop("_bodies")
+        self.__dict__.update(state)
+        for block, body in zip(self.blocks, bodies):
+            block.function = self
+            block.instructions = body
+
     def __repr__(self) -> str:
         return "Function(%r, %d blocks)" % (self.name, len(self.blocks))
 

@@ -69,25 +69,25 @@ def _subst(value: Value, mapping: Mapping[Var, Value]) -> Value:
     return value
 
 
+#: ``Assign.phi_copy`` values: the halves ``pcN = value`` (staged in a
+#: predecessor) and ``dest = pcN`` of a phi lowered by SSA destruction
+PHI_STAGE = "stage"
+PHI_WRITE = "write"
+
+
 class Assign(Instruction):
     """``dest = src`` (a scalar copy).
 
-    ``is_phi_copy`` marks copies that SSA destruction synthesized from
-    phi nodes.  Both execution engines count such copies as ``phis``
-    (not ``instructions``), so the dynamic instruction counts of a
-    destructed module match the SSA module it came from exactly —
-    that's what makes ``tables --engine compiled`` byte-identical to
-    the interpreter's output.
+    ``phi_copy`` is empty, :data:`PHI_STAGE` or :data:`PHI_WRITE`.
     """
 
-    __slots__ = ("dest", "src", "is_phi_copy")
+    __slots__ = ("dest", "src", "phi_copy")
 
-    def __init__(self, dest: Var, src: Value,
-                 is_phi_copy: bool = False) -> None:
+    def __init__(self, dest: Var, src: Value, phi_copy: str = "") -> None:
         super().__init__()
         self.dest = dest
         self.src = src
-        self.is_phi_copy = is_phi_copy
+        self.phi_copy = phi_copy
 
     def uses(self) -> List[Value]:
         return [self.src]
@@ -506,9 +506,9 @@ class Jump(Instruction):
     """Unconditional branch.
 
     ``is_synthetic`` marks jumps of blocks that SSA destruction created
-    by splitting critical edges; like phi copies, they are free in the
-    dynamic instruction count (the SSA module being measured has no
-    such block, so charging for it would skew engine parity).
+    by splitting critical edges.  The SSA module being measured has no
+    such block, so the jump costs nothing (:mod:`repro.ir.cost`) and
+    edge profiles look through it (:mod:`repro.ir.edges`).
     """
 
     __slots__ = ("target", "is_synthetic")

@@ -644,7 +644,7 @@ class BackendCache(ArtifactStore):
 
         def build():
             start = time.perf_counter()
-            compiled = self._translate(module, engine)
+            compiled = self.translate(module, engine)
             if trace is not None:
                 trace.record("backend", time.perf_counter() - start,
                              size_after=module_size(compiled.module),
@@ -657,7 +657,11 @@ class BackendCache(ArtifactStore):
         return compiled
 
     @staticmethod
-    def _translate(module: Module, engine: str = "compiled"):
+    def translate(module: Module, engine: str = "compiled",
+                  collect_edges: bool = False):
+        """Destruct and translate a private clone of ``module``,
+        uncached.  ``collect_edges`` instruments every branch with an
+        edge-profile bump."""
         from ..backend.pybackend import compile_to_python
         from ..backend.specialized import compile_to_specialized
         from ..ssa.destruct import destruct_ssa
@@ -666,11 +670,11 @@ class BackendCache(ArtifactStore):
         clone = pickle.loads(pickle.dumps(module, _PICKLE_PROTOCOL))
         if engine == "specialized":
             # Plans loops on the SSA form, then destructs in place.
-            return compile_to_specialized(clone)
+            return compile_to_specialized(clone, collect_edges)
         for function in clone:
             if any(block.phis() for block in function.blocks):
                 destruct_ssa(function)
-        return compile_to_python(clone)
+        return compile_to_python(clone, collect_edges)
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot as a plain dict."""

@@ -135,34 +135,6 @@ def _run_check_optimizer(module: Module, options: OptimizerOptions,
     return stats
 
 
-def _translate_instrumented(module: Module, engine: str):
-    """Destruct+translate a private clone with edge instrumentation.
-
-    The BackendCache is deliberately not consulted: edge bumps change
-    the generated source, and cache keys hash the uninstrumented
-    module fingerprint (default-off collection keeps cached source
-    byte-identical)."""
-    import copy
-    import pickle
-
-    from ..backend.pybackend import compile_to_python
-    from ..backend.specialized import compile_to_specialized
-    from ..ssa.destruct import destruct_ssa
-
-    try:
-        clone = pickle.loads(pickle.dumps(module,
-                                          pickle.HIGHEST_PROTOCOL))
-    except (pickle.PickleError, TypeError, AttributeError,
-            RecursionError):
-        clone = copy.deepcopy(module)
-    if engine == "specialized":
-        return compile_to_specialized(clone, collect_edges=True)
-    for function in clone:
-        if any(block.phis() for block in function.blocks):
-            destruct_ssa(function)
-    return compile_to_python(clone, collect_edges=True)
-
-
 class CompiledProgram:
     """A compiled (and possibly optimized) module, ready to execute.
 
@@ -209,12 +181,12 @@ class CompiledProgram:
         the default) or ``"specialized"`` (flat source with
         NumPy-vectorized affine loops).  SSA is destructed on a
         private copy of the module, so ``self.module`` is never
-        mutated; phi copies are charged to the ``phis`` counter, so
-        check counts, instruction counts, and outputs are identical to
-        :meth:`run`, and calling the two in either order gives the
-        same numbers.  Both engines enforce the same ``max_steps``
-        fuel and call-depth limits as the interpreter, raising the
-        same typed errors.
+        mutated.  Every engine charges counters from the same cost
+        plan (:mod:`repro.ir.cost`), so the counter snapshot and the
+        output are identical to :meth:`run`, and calling the two in
+        either order gives the same numbers.  Both engines enforce
+        the same ``max_steps`` fuel and call-depth limits as the
+        interpreter, raising the same typed errors.
 
         Translation goes through a
         :class:`~repro.pipeline.cache.BackendCache` (the process-wide
@@ -226,15 +198,16 @@ class CompiledProgram:
         key = engine + (":edges" if collect_edges else "")
         compiled = self._python_modules.get(key)
         if compiled is None:
+            from ..pipeline.cache import BackendCache, shared_backend_cache
+
             if collect_edges:
                 # instrumented modules bypass the BackendCache: edge
                 # bumps change the generated source, and cache keys
                 # hash the module fingerprint alone
-                compiled = _translate_instrumented(self.module, engine)
+                compiled = BackendCache.translate(self.module, engine,
+                                                  collect_edges=True)
             else:
                 if backend_cache is None:
-                    from ..pipeline.cache import shared_backend_cache
-
                     backend_cache = shared_backend_cache()
                 profile = getattr(self.options, "profile", None)
                 compiled = backend_cache.compiled(

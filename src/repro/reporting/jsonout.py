@@ -101,8 +101,8 @@ def bench_to_dict(result: "BenchResult") -> Dict[str, Any]:
     (best of ``repeats``; ``runs`` holds every repeat), the one-time
     back-end translation cost, a full dynamic-counter snapshot per
     engine, and the parity verdicts.  ``totals`` aggregates wall clock
-    and the overall ``counts_match`` that CI asserts on.  ``phis`` is
-    excluded from parity on purpose — see
+    and the overall ``counts_match`` that CI asserts on.  Parity covers
+    the whole counter snapshot, ``phis`` included — see
     :data:`repro.benchsuite.runner.BENCH_PARITY_FIELDS`.
     """
     programs = []

@@ -1,20 +1,21 @@
-"""SSA destruction: replace phis with copies in predecessor blocks.
+"""SSA destruction: replace phis with copies.
 
-Critical edges are split first, then every phi of a block is lowered to
-a *parallel copy* at the end of each predecessor.  The parallel copy is
-implemented with intermediate temporaries (read all sources into fresh
-temps, then write all destinations), which is immune to the classic
-lost-copy and swap problems.
+Critical edges are split first, then every phi ``x = phi(v1, v2, ...)``
+of a block becomes a copy through one temporary: each predecessor
+*stages* its incoming value (``pc = vi``, before its terminator) and
+the phi itself is replaced in place by the *write* ``x = pc``.  All
+stagings of an edge run before any write, so the copies act as the
+parallel copy the phis denote (immune to the classic lost-copy and swap
+problems), and the writes stand exactly where the phis stood: one phi
+move per phi per block entry, which is what the interpreter charges for
+the SSA form (:mod:`repro.ir.cost`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Assign
-from ..ir.values import Value, Var
+from ..ir.instructions import PHI_STAGE, PHI_WRITE, Assign
+from ..ir.values import Var
 from ..ir.verify import verify_function
 
 
@@ -23,9 +24,8 @@ def split_critical_edges(function: Function) -> int:
     target has multiple predecessors.  Returns the number split.
 
     The landing blocks exist only to host phi copies, so their jump is
-    marked synthetic: the execution engines charge it to the ``phis``
-    counter, keeping dynamic instruction counts identical to the SSA
-    module being destructed.
+    marked synthetic: it costs nothing (:mod:`repro.ir.cost`), keeping
+    dynamic counts identical to the SSA module being destructed.
     """
     preds = function.predecessor_map()
     split = 0
@@ -41,36 +41,24 @@ def split_critical_edges(function: Function) -> int:
 
 
 def destruct_ssa(function: Function) -> None:
-    """Lower all phis to copies, in place."""
+    """Lower all phis to copies, in place.
+
+    Each copy is marked with its half (:data:`PHI_STAGE` or
+    :data:`PHI_WRITE`) so the cost plan can charge the write as the
+    phi move and the staging as nothing.
+    """
     split_critical_edges(function)
-    counter = [0]
-
-    def fresh(var: Var) -> Var:
-        counter[0] += 1
-        temp = Var("pc%d" % counter[0], var.type, is_temp=True)
-        function.declare_scalar(temp)
-        return temp
-
+    counter = 0
     for block in list(function.blocks):
-        phis = block.phis()
-        if not phis:
-            continue
-        by_pred: Dict[BasicBlock, List[Tuple[Var, Value]]] = {}
-        for phi in phis:
+        for index, phi in enumerate(block.phis()):
+            counter += 1
+            temp = Var("pc%d" % counter, phi.dest.type, is_temp=True)
+            function.declare_scalar(temp)
             for pred, value in phi.incoming:
-                by_pred.setdefault(pred, []).append((phi.dest, value))
-        for pred, moves in by_pred.items():
-            temps: List[Tuple[Var, Value]] = []
-            for dest, value in moves:
-                temp = fresh(dest)
                 pred.insert_before_terminator(
-                    Assign(temp, value, is_phi_copy=True))
-                temps.append((dest, temp))
-            for dest, temp in temps:
-                pred.insert_before_terminator(
-                    Assign(dest, temp, is_phi_copy=True))
-        for phi in phis:
+                    Assign(temp, value, PHI_STAGE))
             block.remove(phi)
+            block.insert(index, Assign(phi.dest, temp, PHI_WRITE))
     function.ssa_form = False
     verify_function(function)
 

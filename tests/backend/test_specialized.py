@@ -1,13 +1,9 @@
 """Tests for the tier-2 specialized back-end (flat source +
 NumPy-vectorized affine loops).
 
-The parity bar has two parts:
-
-* the specialized engine must agree with the direct-threaded engine on
-  *every* counter (both run destructed SSA, so even ``phis`` matches);
-* both back-ends must agree with the interpreter on the bench-parity
-  fields (``phis`` legitimately differs 2:1 — destruction charges the
-  pc-temp copy and the landing copy per phi).
+The parity bar: both back-ends agree with the interpreter on the
+output and on *every* counter, ``phis`` included (all three engines
+charge blocks from one cost plan, :mod:`repro.ir.cost`).
 """
 
 import pickle
@@ -15,7 +11,7 @@ import pickle
 import pytest
 
 from repro.backend import compile_to_python, compile_to_specialized
-from repro.benchsuite import BENCH_PARITY_FIELDS, all_programs
+from repro.benchsuite import all_programs
 from repro.checks import OptimizerOptions, Scheme, optimize_module
 from repro.errors import InterpError, RangeTrap, StepLimitError
 from repro.interp import Machine
@@ -24,8 +20,6 @@ from repro.ssa import destruct_ssa
 
 from ..conftest import lower_ssa
 
-ALL_COUNTERS = ("instructions", "checks", "guarded_checks",
-                "guard_skipped", "traps", "phis")
 
 
 def _clone(module):
@@ -56,12 +50,9 @@ def tri_parity(source, inputs=None, options=None):
     threaded = compile_to_python(threaded_mod).run(inputs)
     spec = compile_to_specialized(_clone(module)).run(inputs)
     assert spec.output == threaded.output == machine.output
-    for field in ALL_COUNTERS:
-        assert getattr(spec.counters, field) == \
-            getattr(threaded.counters, field), field
-    for field in BENCH_PARITY_FIELDS:
-        assert getattr(spec.counters, field) == \
-            getattr(machine.counters, field), field
+    want = machine.counters.snapshot()
+    assert threaded.counters.snapshot() == want
+    assert spec.counters.snapshot() == want
     return spec
 
 

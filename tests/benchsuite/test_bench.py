@@ -6,6 +6,8 @@ import json
 
 from repro.benchsuite import (BENCH_PARITY_FIELDS, all_programs, run_bench,
                               run_suite)
+from repro.checks import CheckKind, OptimizerOptions, Scheme
+from repro.interp import ExecutionCounters
 from repro.pipeline.cache import BackendCache, FrontendCache
 from repro.reporting import (BENCH_SCHEMA, TABLE3_LABELS, bench_to_dict,
                              render_tables_text, table2_labels,
@@ -30,18 +32,23 @@ class TestRunBench:
             for field in BENCH_PARITY_FIELDS:
                 assert interp[field] == compiled[field], field
                 assert interp[field] == spec[field], field
-            # both back-ends run destructed SSA, so they agree on
-            # every counter, phis included
-            assert spec == compiled
+            assert spec == compiled == interp
 
-    def test_phis_differ_by_design(self):
-        # destructed SSA charges two copies per phi; the interpreter
-        # charges one move — parity deliberately excludes the field
-        result = small_bench()
-        row = result.programs[0]
-        assert "phis" not in BENCH_PARITY_FIELDS
-        assert row.engines["compiled"].counters["phis"] >= \
-            row.engines["interp"].counters["phis"]
+    def test_phis_agree_across_engines(self):
+        # one cost plan: the back-ends charge a destructed phi's write
+        # half where the interpreter charges the phi, so parity covers
+        # the whole counter snapshot -- under SPEC too, whose versioned
+        # loops split more critical edges into landing blocks
+        assert "phis" in BENCH_PARITY_FIELDS
+        assert set(BENCH_PARITY_FIELDS) == set(
+            ExecutionCounters().snapshot())
+        for options in (OptimizerOptions(),
+                        OptimizerOptions(Scheme.SPEC, CheckKind.INX)):
+            for row in small_bench(options=options).programs:
+                phis = {name: run.counters["phis"]
+                        for name, run in row.engines.items()}
+                assert phis["interp"] > 0
+                assert len(set(phis.values())) == 1, (row.name, phis)
 
     def test_wall_clock_recorded_per_engine(self):
         result = small_bench()

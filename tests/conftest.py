@@ -117,6 +117,15 @@ def run_baseline(source, inputs=None, max_steps=5_000_000):
                            max_steps=max_steps)
 
 
+def sequential_ifs(count):
+    """A flat program of ``count`` sequential ``if`` blocks (one CFG
+    path ~2 * count blocks long); it prints ``sum(range(count // 2))``."""
+    body = "\n".join("  if (n > %d) then\n    s = s + %d\n  end if"
+                     % (i, i) for i in range(count))
+    return ("program p\n  input integer :: n = %d\n  integer :: s\n"
+            "  s = 0\n%s\n  print s\nend program\n" % (count // 2, body))
+
+
 ALL_SCHEMES = tuple(Scheme)
 ALL_KINDS = tuple(CheckKind)
 ALL_MODES = tuple(ImplicationMode)

@@ -8,6 +8,8 @@ from repro.pipeline import (BackendCache, FrontendCache, PipelineTrace,
                             reset_shared_cache, shared_backend_cache,
                             shared_cache)
 
+from ..conftest import sequential_ifs
+
 
 def run_checks(module, inputs):
     machine = Machine(module, inputs)
@@ -391,3 +393,27 @@ class TestConcurrentCounters:
         counters = cache.counters()
         assert counters["hits"] + counters["misses"] == 8 * laps
         assert counters["builds"] == len(self.SOURCES)
+
+
+class TestLongCFG:
+    """Cloning IR by pickle must not recurse once per block."""
+
+    def test_300_ifs_through_both_caches_and_engines(self, tmp_path):
+        source = sequential_ifs(300)
+        expected = [sum(range(150))]
+        disk = str(tmp_path)
+        cold = FrontendCache(disk_dir=disk)
+        compile_source(source, cache=cold)
+        assert cold.frontend_compiles == 1
+        warm = FrontendCache(disk_dir=disk)
+        program = compile_source(source, cache=warm)
+        assert warm.disk_hits == 1 and warm.frontend_compiles == 0
+        want = program.run()
+        assert want.output == expected
+        backend = BackendCache(disk_dir=disk)
+        for engine in ("compiled", "specialized"):
+            runtime = program.run_compiled(backend_cache=backend,
+                                           engine=engine)
+            assert runtime.output == expected, engine
+            assert runtime.counters.snapshot() == \
+                want.counters.snapshot(), engine

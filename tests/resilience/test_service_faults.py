@@ -3,10 +3,11 @@ produce its documented degraded behavior (a bounded error status,
 never a hang or a wrong result), and a fault-free replay of the same
 request must return a body identical to an undisturbed run.
 
-Bodies are compared through :func:`canonical`, which nulls the two
-volatile fields (``phases`` wall-clock timings and ``frontend_cached``
-cache state) — everything semantic (output, counters, traps, engine)
-must match byte-for-byte.  See docs/RESILIENCE.md.
+Bodies are compared through :func:`canonical`, which nulls the three
+volatile fields (``phases`` wall-clock timings and the
+``frontend_cached``/``backend_cached`` cache state) — everything
+semantic (output, counters, traps, engine) must match byte-for-byte.
+See docs/RESILIENCE.md.
 """
 
 import json
@@ -46,7 +47,7 @@ def program(name, bound=8):
 def canonical(doc):
     """Response body with volatile metadata nulled, as canonical bytes."""
     doc = dict(doc)
-    for volatile in ("phases", "frontend_cached"):
+    for volatile in ("phases", "frontend_cached", "backend_cached"):
         doc.pop(volatile, None)
     return json.dumps(doc, sort_keys=True).encode("utf-8")
 

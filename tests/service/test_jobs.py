@@ -5,6 +5,8 @@ import pytest
 from repro.service.jobs import (CompileRequest, ServiceError,
                                 execute_request, request_key)
 
+from ..conftest import sequential_ifs
+
 GOOD = """
 program demo
   input integer :: n = 20
@@ -123,6 +125,15 @@ class TestExecuteRequest:
              "inputs": {"n": 10}})
         assert status == 200
         assert body["output"] == [10.0]
+
+    def test_long_cfg_is_served(self):
+        # IR cloning must not recurse once per block
+        source = sequential_ifs(300)
+        for engine in ("interp", "compiled", "specialized"):
+            status, reply = execute_request(
+                {"action": "run", "source": source, "engine": engine})
+            assert status == 200, reply
+            assert reply["output"] == [sum(range(150))]
 
     def test_dump(self):
         status, body = execute_request({"action": "dump", "source": GOOD})

@@ -1,7 +1,16 @@
 """Tests for SSA destruction."""
 
+import pickle
+
+import pytest
+
+from repro.checks import CheckKind, OptimizerOptions, Scheme
+from repro.errors import RangeTrap
 from repro.interp import Machine
-from repro.ir import Phi
+from repro.ir import Assign, Phi
+from repro.ir.edges import is_landing_block
+from repro.ir.instructions import PHI_STAGE, PHI_WRITE
+from repro.pipeline import compile_source
 from repro.ssa import destruct_ssa, split_critical_edges
 
 from ..conftest import lower_ssa
@@ -132,3 +141,80 @@ end program
         m2 = Machine(module)
         m2.run()
         assert m1.output == m2.output
+
+
+SPEC_REDUCTION = """
+program p
+  input integer :: n = 50
+  integer :: i, s
+  integer :: a(100)
+  s = 0
+  do i = 1, n
+    a(i) = i
+    s = s + a(i)
+  end do
+  print s
+end program
+"""
+
+PRED_TRAP = """
+program p
+  input integer :: n = 20
+  integer :: s
+  integer :: a(10)
+  s = 0
+  if (n > 5) then
+    s = n
+    a(n) = s
+  end if
+  print s
+end program
+"""
+
+
+class TestPhiAccounting:
+    """One phi move per SSA phi per block entry, on every engine."""
+
+    def test_halves_are_marked(self):
+        module = lower_ssa(SWAPPY)
+        phis = sum(len(block.phis()) for block in module.main.blocks)
+        destruct_ssa(module.main)
+        halves = [inst.phi_copy for inst in module.main.instructions()
+                  if isinstance(inst, Assign) and inst.phi_copy]
+        # one write per phi, standing where the phi stood
+        assert halves.count(PHI_WRITE) == phis
+        assert halves.count(PHI_STAGE) >= phis
+        for block in module.main.blocks:
+            kinds = [getattr(inst, "phi_copy", "")
+                     for inst in block.instructions]
+            writes = kinds.count(PHI_WRITE)
+            assert kinds[:writes] == [PHI_WRITE] * writes
+
+    def test_spec_landing_edges_charge_equal_phis(self):
+        program = compile_source(
+            SPEC_REDUCTION, OptimizerOptions(Scheme.SPEC, CheckKind.INX))
+        module = pickle.loads(pickle.dumps(program.module))
+        destruct_ssa(module.main)
+        landings = [block for block in module.main.blocks
+                    if is_landing_block(block)]
+        # SPEC's versioned loop splits edges whose landing blocks host
+        # staged phi copies: both halves of the cost rule are exercised
+        assert any(isinstance(inst, Assign) and inst.phi_copy == PHI_STAGE
+                   for block in landings for inst in block.instructions)
+        want = program.run({"n": 50}).counters.snapshot()
+        assert want["phis"] > 0
+        for engine in ("compiled", "specialized"):
+            got = program.run_compiled({"n": 50}, engine=engine)
+            assert got.counters.snapshot() == want, engine
+
+    def test_threaded_counters_match_at_a_trap(self):
+        # the trap fires in the then-block, which stages the join's phi
+        # for s: its write half is charged on entry to the join, which
+        # never runs -- exactly like the interpreter's phi
+        program = compile_source(PRED_TRAP, OptimizerOptions(Scheme.NI))
+        with pytest.raises(RangeTrap) as interp:
+            program.run()
+        with pytest.raises(RangeTrap) as threaded:
+            program.run_compiled()
+        assert threaded.value.runtime.counters.snapshot() == \
+            interp.value.runtime.counters.snapshot()
